@@ -335,9 +335,9 @@ func (m *muxConn) writeLoop() {
 		var err error
 		buf, err = wire.Append(buf[:0], msg)
 		if err != nil {
-			// Encoding was pre-validated by FrameSize on the hot path;
-			// a failure here means the message is unencodable for
-			// everyone on this socket.
+			// roundTrip rejects unencodable params with CheckEncodable
+			// before queueing, so a failure here means the message is
+			// unencodable for everyone on this socket.
 			m.fail(err)
 			return
 		}

@@ -3,7 +3,9 @@ package client
 import (
 	"context"
 	"errors"
+	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -97,6 +99,50 @@ func TestMuxCancelLeavesSiblingStreams(t *testing.T) {
 	// The shared connection survived the per-stream cancel.
 	if _, err := c.Invoke("matmul", kernels.Params{"n": 32, "seed": 2}, nil); err != nil {
 		t.Fatalf("Invoke after cancel: %v", err)
+	}
+	if n := ln.Accepted(); n != 1 {
+		t.Errorf("server accepted %d connections, want exactly the 1 shared one", n)
+	}
+}
+
+// TestMuxNonFiniteParamFailsOnlyItsCall sends a NaN parameter while a
+// sibling stream is in flight on the same shared connection: the bad
+// call must fail on its own with an encode error, and the connection
+// must stay healthy for the in-flight sibling and for later calls.
+func TestMuxNonFiniteParamFailsOnlyItsCall(t *testing.T) {
+	srv, ln := startFaultyServer(t, nil)
+	if err := srv.Register(slowKernel{}); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	c := Dial(ln.Addr().String(), WithMux(1))
+	defer c.Close()
+	if err := c.Register("matmul"); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	slowErr := make(chan error, 1)
+	go func() {
+		_, err := c.InvokeContext(ctx, "slow", nil, nil)
+		slowErr <- err
+	}()
+	waitUntil(t, 5*time.Second, func() bool { return srv.Stats().InFlight >= 1 }, "slow invocation in flight")
+
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		_, err := c.Invoke("matmul", kernels.Params{"n": bad}, nil)
+		if err == nil || !strings.Contains(err.Error(), "not a finite number") {
+			t.Fatalf("Invoke with n=%v: err = %v, want a per-call encode error", bad, err)
+		}
+	}
+	if _, err := c.Invoke("matmul", kernels.Params{"n": 32, "seed": 1}, nil); err != nil {
+		t.Fatalf("sibling Invoke after the rejected call: %v", err)
+	}
+	// The slow stream was on the connection the whole time: it ends by
+	// its own cancellation, not by a connection failure.
+	cancel()
+	if err := <-slowErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("in-flight sibling err = %v, want context.Canceled", err)
 	}
 	if n := ln.Accepted(); n != 1 {
 		t.Errorf("server accepted %d connections, want exactly the 1 shared one", n)

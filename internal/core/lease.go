@@ -74,12 +74,10 @@ func (lt *leaseTable) lookup(o leaseOwner, id uint64) (*shm.Lease, bool) {
 // arena budget. It reports how many leases were released.
 func (lt *leaseTable) releaseOwner(o leaseOwner) int {
 	lt.mu.Lock()
+	defer lt.mu.Unlock()
 	m := lt.owners[o]
 	delete(lt.owners, o)
-	lt.mu.Unlock()
-	for id := range m {
-		lt.arena.Revoke(id)
-	}
+	lt.revokeLocked(m)
 	return len(m)
 }
 
@@ -98,12 +96,23 @@ func (lt *leaseTable) revokeAll() int {
 		for id := range m {
 			all = append(all, grant{o: o, id: id})
 		}
+		lt.revokeLocked(m)
 		delete(lt.owners, o)
 	}
 	lt.mu.Unlock()
 	for _, g := range all {
-		lt.arena.Revoke(g.id)
 		g.o.sendLeaseRevoke(g.id)
 	}
 	return len(all)
+}
+
+// revokeLocked revokes leases in the arena while lt.mu is held (lock
+// order lt.mu, then the arena's), so no lookup can observe a lease that
+// has left the table but is not yet marked revoked in the arena — that
+// gap answered a stale-lease invoke with an untyped "unknown lease"
+// error instead of the retryable errLeaseRevoked.
+func (lt *leaseTable) revokeLocked(m map[uint64]*shm.Lease) {
+	for id := range m {
+		lt.arena.Revoke(id)
+	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -29,6 +30,10 @@ func TestInvocationIDsAreAssignedAndUnique(t *testing.T) {
 			t.Errorf("invocation ID %q reused", rep.InvocationID)
 		}
 		seen[rep.InvocationID] = true
+		// Logs and client results join on this exact text.
+		if want := fmt.Sprintf("inv-%d", i+1); rep.InvocationID != want {
+			t.Errorf("invocation ID = %q, want %q", rep.InvocationID, want)
+		}
 		if rep.Attempts != 1 {
 			t.Errorf("Attempts = %d for a healthy invocation, want 1", rep.Attempts)
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"log/slog"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -362,5 +363,78 @@ func TestServeLeaseDeniedWithoutArena(t *testing.T) {
 	if ack.Type != wire.MsgLeaseAck || ack.Header.LeaseID != 0 || ack.Header.Code != wire.CodeInternal {
 		t.Fatalf("denial = %s lease %d code %q, want lease ack with no lease and code %q",
 			ack.Type, ack.Header.LeaseID, ack.Header.Code, wire.CodeInternal)
+	}
+}
+
+// TestResolveLeaseDuringRevoke is the regression test for the
+// lease-revoke race: an invoke that resolves its lease while the lease
+// table is revoking it must see the typed, retryable errLeaseRevoked,
+// never an untyped "unknown lease" error. Revocation used to drop the
+// owner's leases from the table before marking them revoked in the
+// arena, and a resolve in that gap found neither.
+func TestResolveLeaseDuringRevoke(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		revoke func(lt *leaseTable, o leaseOwner)
+	}{
+		{"revokeAll", func(lt *leaseTable, _ leaseOwner) { lt.revokeAll() }},
+		{"releaseOwner", func(lt *leaseTable, o leaseOwner) { lt.releaseOwner(o) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lt := newLeaseTable(shm.NewArenaPool(0))
+			s := &muxSession{t: &TCPServer{leases: lt}}
+			s.failed.Store(true) // revocation notices have no socket to go to
+			for round := 0; round < 100; round++ {
+				ids := make([]uint64, 16)
+				for i := range ids {
+					l, err := lt.grant(s, 4096)
+					if err != nil {
+						t.Fatalf("grant: %v", err)
+					}
+					ids[i] = l.ID()
+				}
+				var (
+					ready, wg sync.WaitGroup
+					done      = make(chan struct{})
+					errs      = make(chan error, 2)
+				)
+				for w := 0; w < 2; w++ {
+					ready.Add(1)
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						ready.Done()
+						for {
+							var last bool
+							select {
+							case <-done:
+								last = true // one more pass after the revocation
+							default:
+							}
+							for _, id := range ids {
+								l, err := s.resolveLease(&wire.Message{Header: wire.Header{LeaseID: id}})
+								if err == nil {
+									l.Release()
+								} else if !errors.Is(err, errLeaseRevoked) {
+									errs <- err
+									return
+								}
+							}
+							if last {
+								return
+							}
+						}
+					}()
+				}
+				ready.Wait()
+				tc.revoke(lt, s)
+				close(done)
+				wg.Wait()
+				close(errs)
+				for err := range errs {
+					t.Fatalf("round %d: resolve during revocation failed with %v, want errLeaseRevoked", round, err)
+				}
+			}
+		})
 	}
 }

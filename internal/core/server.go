@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -536,6 +537,14 @@ func (s *Server) Kernels() []string {
 	return names
 }
 
+// seqID returns prefix followed by n in decimal ("inv-42"). It runs once
+// per invocation, so it builds the ID in a stack buffer instead of going
+// through fmt.
+func seqID(prefix string, n uint64) string {
+	var b [32]byte
+	return string(strconv.AppendUint(append(b[:0], prefix...), n, 10))
+}
+
 // Invoke routes one invocation to a warm or new runner and returns the
 // kernel response plus a report of how it was served.
 //
@@ -613,7 +622,7 @@ func (s *Server) Invoke(ctx context.Context, name string, req *kernels.Request) 
 	}()
 
 	report := &Report{
-		InvocationID: fmt.Sprintf("inv-%d", s.invSeq.Add(1)),
+		InvocationID: seqID("inv-", s.invSeq.Add(1)),
 		Kernel:       name,
 	}
 	report.Breakdown.Queue += queued
@@ -782,7 +791,7 @@ func (s *Server) preWarm(e *entry) {
 
 	met := s.kernelMet(e)
 	met.preWarms.Inc()
-	inv := fmt.Sprintf("prewarm-%d", s.invSeq.Add(1))
+	inv := seqID("prewarm-", s.invSeq.Add(1))
 	s.cfg.Logger.Info("pre-warming runner", "inv", inv, "kernel", e.name, "runner", r.id)
 	var b metrics.Breakdown
 	s.coldStart(s.baseCtx, inv, e, k, r, &b)

@@ -40,9 +40,8 @@ type ArenaPool struct {
 	granted  int64              // bytes held by live leases
 	pooled   int64              // bytes parked on the free lists
 	free     map[int64][][]byte // size class -> free slabs
-	leases   map[uint64]*Lease
-	revoked  map[uint64]struct{} // tombstones: distinguish stale from bogus
-	seq      uint64
+	leases   map[uint64]*Lease  // live leases; a lease leaves only through Revoke
+	seq      uint64             // last lease ID issued; IDs increase from 1
 
 	grants      uint64
 	reuses      uint64
@@ -56,7 +55,6 @@ func NewArenaPool(capacity int64) *ArenaPool {
 		capacity: capacity,
 		free:     make(map[int64][][]byte),
 		leases:   make(map[uint64]*Lease),
-		revoked:  make(map[uint64]struct{}),
 	}
 }
 
@@ -142,11 +140,14 @@ func (p *ArenaPool) Get(id uint64) (*Lease, bool) {
 // WasRevoked reports whether id names a lease that existed and was
 // revoked — the stale-lease case a client can recover from by falling
 // back to in-band transfer, as opposed to an ID that was never granted.
+// IDs are issued in increasing order and leave the live set only through
+// Revoke, so every issued ID that is no longer live was revoked; no
+// per-lease tombstone is kept.
 func (p *ArenaPool) WasRevoked(id uint64) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	_, ok := p.revoked[id]
-	return ok
+	_, live := p.leases[id]
+	return id > 0 && id <= p.seq && !live
 }
 
 // Revoke withdraws a lease. The budget is credited as soon as no
@@ -160,7 +161,6 @@ func (p *ArenaPool) Revoke(id uint64) bool {
 		return false
 	}
 	delete(p.leases, id)
-	p.revoked[id] = struct{}{}
 	p.revocations++
 	l.isDead = true
 	if l.refs == 0 {

@@ -1,24 +1,34 @@
 // Package wire implements the KaaS network protocol: a simple length-
-// prefixed binary framing with a JSON header and an opaque payload body,
-// used between clients, the KaaS server, and task runners.
+// prefixed binary framing with a binary header and an opaque payload
+// body, used between clients, the KaaS server, and task runners.
 //
 // Frame layout:
 //
 //	magic   [4]byte  "KAAS"
 //	version uint8    protocol version (1 or 2)
 //	type    uint8    message type
-//	hdrLen  uint32   big endian, JSON header length
-//	header  []byte   JSON-encoded Header
+//	hdrLen  uint32   big endian, header length
+//	header  []byte   encoded Header
 //	bodyLen uint32   big endian, payload length
 //	body    []byte   raw payload (in-band data)
 //
-// The JSON header carries the control fields of the message (see Header).
-// Invocation requests may set Header.DeadlineNanos — an absolute wall-clock
-// deadline in Unix nanoseconds — so a server can reject work that is
-// already expired when it arrives and cancel in-flight kernels whose
-// client has given up. A zero DeadlineNanos means the request never
-// expires. Unknown header fields are ignored on decode, so adding fields
-// is backward compatible within a protocol version.
+// The header carries the control fields of the message (see Header). It
+// starts with a format byte that no JSON text can start with, so a frame
+// from a peer that still sends JSON headers is rejected with ErrBadHeader
+// rather than misread. A uvarint presence mask follows, one bit per
+// field, then the present fields in mask-bit order: strings and byte
+// blobs as a uvarint length and the bytes, float maps as a uvarint count
+// and (key, IEEE-754 bits) pairs, integers as varints. Bool fields are
+// carried by their mask bit alone. Unknown mask bits are rejected, so a
+// new field changes the format byte rather than being ignored by old
+// peers. Params and values must be finite numbers on both encode and
+// decode.
+//
+// Invocation requests may set Header.DeadlineNanos — an absolute
+// wall-clock deadline in Unix nanoseconds — so a server can reject work
+// that is already expired when it arrives and cancel in-flight kernels
+// whose client has given up. A zero DeadlineNanos means the request never
+// expires.
 //
 // Version 1 is the legacy one-request-per-connection protocol: each frame
 // on a connection belongs to the single outstanding request. Version 2
@@ -27,19 +37,21 @@
 // requests by stream, and MsgCancel aborts one stream without tearing
 // down the shared socket. A connection speaks version 2 only after a
 // MsgHello/MsgHelloAck negotiation (sent as version-1 frames, so a
-// legacy peer answers with a plain error and the client falls back).
+// version-1-only peer answers with a plain error and the client falls
+// back).
 //
-// Read never trusts the length prefixes for allocation: header and body
+// Read never trusts a length or count for allocation: header and body
 // buffers grow incrementally as bytes actually arrive, so a frame that
 // claims a huge body on a truncated stream cannot force a large
-// allocation. Write and Read reuse frame and header buffers through
-// sync.Pools, keeping steady-state allocations on the invoke hot path
-// near zero for small frames.
+// allocation, and every count inside the header is checked against the
+// header bytes left before anything is sized by it. Write and Read reuse
+// frame and header buffers through sync.Pools, so Write allocates
+// nothing in steady state and Read allocates only the message, one copy
+// of the header's string bytes, and the maps and slices it returns.
 package wire
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -56,13 +68,17 @@ const (
 	VersionMux = 2
 	// MaxVersion is the highest protocol version this package decodes.
 	MaxVersion = VersionMux
-	// MaxHeaderLen bounds the JSON header size.
+	// MaxHeaderLen bounds the encoded header size.
 	MaxHeaderLen = 1 << 20
 	// MaxBodyLen bounds the payload size (256 MiB).
 	MaxBodyLen = 256 << 20
 )
 
 var magic = [4]byte{'K', 'A', 'A', 'S'}
+
+// preambleLen is the size of the fixed frame prefix: magic, version,
+// type and header length.
+const preambleLen = 10
 
 // MsgType identifies a protocol message.
 type MsgType uint8
@@ -208,86 +224,87 @@ var (
 	ErrTooLarge = errors.New("wire: frame too large")
 )
 
-// Header carries the JSON-encoded control fields of a message.
+// Header carries the control fields of a message. A field at its zero
+// value (nil for maps, slices and Stats) is absent from the encoding.
 type Header struct {
 	// Kernel is the kernel name for register/invoke.
-	Kernel string `json:"kernel,omitempty"`
+	Kernel string
 	// Tenant identifies the invoking tenant for fair queueing on
 	// MsgInvoke. Legacy (pre-tenant) peers omit it; servers map the empty
 	// string to the deterministic "default" tenant so mixed-version
 	// clusters do not split accounting between "" and "default".
-	Tenant string `json:"tenant,omitempty"`
+	Tenant string
 	// Kind is the device kind name for register.
-	Kind string `json:"kind,omitempty"`
+	Kind string
 	// Params are the invocation parameters.
-	Params map[string]float64 `json:"params,omitempty"`
+	Params map[string]float64
 	// Values are the scalar results of an invocation.
-	Values map[string]float64 `json:"values,omitempty"`
+	Values map[string]float64
 	// Error is the failure description on MsgError.
-	Error string `json:"error,omitempty"`
+	Error string
 	// Code is the machine-readable classification of the failure on
 	// MsgError (one of the Code* constants). Empty on frames from servers
 	// predating structured errors; clients treat that as CodeInternal.
-	Code string `json:"code,omitempty"`
+	Code string
 	// Retryable reports whether the server considers the failure
 	// transient, i.e. the same request may succeed if retried after
 	// backoff.
-	Retryable bool `json:"retryable,omitempty"`
+	Retryable bool
 	// ShmKey names a shared-memory region holding the input payload
 	// (out-of-band transfer). Empty means the payload is in the body.
-	ShmKey string `json:"shmKey,omitempty"`
+	ShmKey string
 	// ResultShmKey names the region where the server stored the output
 	// payload when the client requested out-of-band results.
-	ResultShmKey string `json:"resultShmKey,omitempty"`
+	ResultShmKey string
 	// WantShmResult asks the server to return payloads out-of-band.
-	WantShmResult bool `json:"wantShmResult,omitempty"`
+	WantShmResult bool
 	// Names lists kernel names in MsgListResult.
-	Names []string `json:"names,omitempty"`
+	Names []string
 	// Stats is an opaque JSON stats document in MsgStatsResult.
-	Stats json.RawMessage `json:"stats,omitempty"`
+	Stats []byte
 	// ColdStart reports whether the invocation started a new runner.
-	ColdStart bool `json:"coldStart,omitempty"`
+	ColdStart bool
 	// CachedColdStart reports whether a cold start skipped JIT
 	// compilation because the compiled artifact was already cached.
 	// Only meaningful when ColdStart is true.
-	CachedColdStart bool `json:"cachedColdStart,omitempty"`
+	CachedColdStart bool
 	// InvocationID is the server-assigned invocation identifier returned
 	// on MsgResult. It joins the client-observed result with the server's
 	// structured log lines and metrics for that invocation.
-	InvocationID string `json:"invocationID,omitempty"`
+	InvocationID string
 	// DurationNanos is the server-side modeled invocation time.
-	DurationNanos int64 `json:"durationNanos,omitempty"`
+	DurationNanos int64
 	// DeadlineNanos is the absolute wall-clock deadline of the request in
 	// Unix nanoseconds. Servers reject frames whose deadline has already
 	// passed and cancel the invocation when it expires mid-flight. Zero
 	// means no deadline.
-	DeadlineNanos int64 `json:"deadlineNanos,omitempty"`
+	DeadlineNanos int64
 	// StreamID identifies the request/reply stream on a multiplexed
 	// (version 2) connection. The client assigns it on requests; the
 	// server echoes it on the matching reply and on MsgCancel it names
 	// the stream to abort. Zero on version-1 connections.
-	StreamID uint64 `json:"streamID,omitempty"`
+	StreamID uint64
 	// MuxVersion carries the offered (MsgHello) or negotiated
 	// (MsgHelloAck) protocol version during the upgrade handshake.
-	MuxVersion uint8 `json:"muxVersion,omitempty"`
+	MuxVersion uint8
 	// MaxStreams advertises, on MsgHelloAck, how many concurrent streams
 	// the server will serve per connection before applying backpressure.
-	MaxStreams int `json:"maxStreams,omitempty"`
+	MaxStreams int
 	// LeaseID names an arena lease: the granted window on MsgLeaseAck,
 	// the revoked window on MsgLeaseRevoke, and — on MsgInvoke — the
 	// window holding the input payload (out-of-band transfer over the
 	// mux; zero means the payload is in the body or named by ShmKey).
-	LeaseID uint64 `json:"leaseID,omitempty"`
+	LeaseID uint64
 	// LeaseBytes is the requested (MsgLease) or granted (MsgLeaseAck)
 	// capacity of an arena lease in bytes.
-	LeaseBytes int64 `json:"leaseBytes,omitempty"`
+	LeaseBytes int64
 	// LeaseLen is the length of the input payload within the leased
 	// window on a MsgInvoke that carries LeaseID.
-	LeaseLen int64 `json:"leaseLen,omitempty"`
+	LeaseLen int64
 	// LeaseResultLen, on MsgResult, is the length of the output payload
 	// the server wrote back into the invocation's leased window. Zero
 	// means the result (if any) is in the frame body.
-	LeaseResultLen int64 `json:"leaseResultLen,omitempty"`
+	LeaseResultLen int64
 }
 
 // Message is one protocol frame.
@@ -312,8 +329,8 @@ var bufPool = sync.Pool{
 	},
 }
 
-// hdrPool recycles header-decoding buffers across Read calls. The JSON
-// decoder copies everything it keeps, so the buffer never escapes.
+// hdrPool recycles frame-decoding scratch buffers across Read calls. The
+// header decoder copies everything it keeps, so the buffer never escapes.
 var hdrPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4096)
@@ -335,34 +352,35 @@ func frameVersion(msg *Message) (uint8, error) {
 
 // Append encodes msg onto buf and returns the extended slice. It is the
 // allocation-free core of Write, used directly by the multiplexed
-// transports to coalesce several frames into one socket write.
+// transports to coalesce several frames into one socket write. On error
+// buf is returned unextended.
 func Append(buf []byte, msg *Message) ([]byte, error) {
 	v, err := frameVersion(msg)
 	if err != nil {
 		return buf, err
 	}
-	hdr, err := json.Marshal(&msg.Header)
-	if err != nil {
-		return buf, fmt.Errorf("wire: encode header: %w", err)
-	}
-	if len(hdr) > MaxHeaderLen {
-		return buf, fmt.Errorf("%w: header %d bytes", ErrTooLarge, len(hdr))
-	}
 	if len(msg.Body) > MaxBodyLen {
 		return buf, fmt.Errorf("%w: body %d bytes", ErrTooLarge, len(msg.Body))
 	}
+	start := len(buf)
 	buf = append(buf, magic[:]...)
-	buf = append(buf, v, byte(msg.Type))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(hdr)))
-	buf = append(buf, hdr...)
+	buf = append(buf, v, byte(msg.Type), 0, 0, 0, 0) // header length, patched below
+	buf, err = appendHeader(buf, &msg.Header)
+	if err != nil {
+		return buf[:start], err
+	}
+	hdrLen := len(buf) - start - preambleLen
+	if hdrLen > MaxHeaderLen {
+		return buf[:start], fmt.Errorf("%w: header %d bytes", ErrTooLarge, hdrLen)
+	}
+	binary.BigEndian.PutUint32(buf[start+6:], uint32(hdrLen))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(msg.Body)))
 	buf = append(buf, msg.Body...)
 	return buf, nil
 }
 
 // Write encodes and writes a message to w. The encoding buffer is pooled,
-// so steady-state Writes of small frames do not allocate beyond the JSON
-// header encoding.
+// so steady-state Writes of small frames do not allocate.
 func Write(w io.Writer, msg *Message) error {
 	bp := bufPool.Get().(*[]byte)
 	buf, err := Append((*bp)[:0], msg)
@@ -384,8 +402,13 @@ func Write(w io.Writer, msg *Message) error {
 // Read decodes one message from r, accepting protocol versions 1 and 2
 // and recording which one the frame carried in Message.Version.
 func Read(r io.Reader) (*Message, error) {
-	var pre [10]byte
-	if _, err := io.ReadFull(r, pre[:]); err != nil {
+	// One pooled scratch buffer carries the preamble, the header and the
+	// body length in turn: a stack array handed to r.Read would escape to
+	// the heap on every call.
+	bp := hdrPool.Get().(*[]byte)
+	defer hdrPool.Put(bp)
+	pre := (*bp)[:preambleLen]
+	if _, err := io.ReadFull(r, pre); err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil, io.EOF
 		}
@@ -398,18 +421,18 @@ func Read(r io.Reader) (*Message, error) {
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, pre[4])
 	}
 	msg := &Message{Type: MsgType(pre[5]), Version: pre[4]}
-	hdrLen := binary.BigEndian.Uint32(pre[6:10])
+	hdrLen := binary.BigEndian.Uint32(pre[6:preambleLen])
 	if hdrLen > MaxHeaderLen {
 		return nil, fmt.Errorf("%w: header %d bytes", ErrTooLarge, hdrLen)
 	}
-	if err := readHeader(r, int(hdrLen), &msg.Header); err != nil {
+	if err := readHeader(r, int(hdrLen), bp, &msg.Header); err != nil {
 		return nil, err
 	}
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	lenBuf := (*bp)[:4]
+	if _, err := io.ReadFull(r, lenBuf); err != nil {
 		return nil, fmt.Errorf("wire: read body length: %w", err)
 	}
-	bodyLen := binary.BigEndian.Uint32(lenBuf[:])
+	bodyLen := binary.BigEndian.Uint32(lenBuf)
 	if bodyLen > MaxBodyLen {
 		return nil, fmt.Errorf("%w: body %d bytes", ErrTooLarge, bodyLen)
 	}
@@ -423,38 +446,29 @@ func Read(r io.Reader) (*Message, error) {
 	return msg, nil
 }
 
-// readHeader reads and decodes the n-byte JSON header into out. Small
-// headers pass through a pooled buffer (the decoder copies what it
-// keeps); oversized ones fall back to the incremental section reader.
-func readHeader(r io.Reader, n int, out *Header) error {
+// readHeader reads and decodes the n-byte header into out. Small headers
+// pass through the pooled scratch buffer *bp, growing it if needed (the
+// decoder copies what it keeps); oversized ones fall back to the
+// incremental section reader.
+func readHeader(r io.Reader, n int, bp *[]byte, out *Header) error {
 	if n > maxPooledBuf {
 		hdr, err := readSection(r, n)
 		if err != nil {
 			return fmt.Errorf("wire: read header: %w", err)
 		}
-		if err := json.Unmarshal(hdr, out); err != nil {
-			return fmt.Errorf("wire: decode header: %w", err)
-		}
-		return nil
+		return decodeHeader(hdr, out)
 	}
-	bp := hdrPool.Get().(*[]byte)
-	defer hdrPool.Put(bp)
-	buf := *bp
-	if cap(buf) < n {
-		buf = make([]byte, n)
-		*bp = buf
+	if cap(*bp) < n {
+		*bp = make([]byte, n)
 	}
-	buf = buf[:n]
+	buf := (*bp)[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
 		return fmt.Errorf("wire: read header: %w", err)
 	}
-	if err := json.Unmarshal(buf, out); err != nil {
-		return fmt.Errorf("wire: decode header: %w", err)
-	}
-	return nil
+	return decodeHeader(buf, out)
 }
 
 // allocChunk caps how much readSection allocates ahead of the bytes that
@@ -491,31 +505,37 @@ func readSection(r io.Reader, n int) ([]byte, error) {
 }
 
 // FrameSize returns the on-wire size of a message without writing it, used
-// by the network shaper to model transfer time.
+// by the network shaper to model transfer time. It encodes only the
+// header, into a pooled buffer, so it allocates nothing in steady state.
 func FrameSize(msg *Message) (int64, error) {
-	hdr, err := json.Marshal(&msg.Header)
-	if err != nil {
-		return 0, fmt.Errorf("wire: encode header: %w", err)
+	bp := bufPool.Get().(*[]byte)
+	hdr, err := appendHeader((*bp)[:0], &msg.Header)
+	if cap(hdr) <= maxPooledBuf {
+		*bp = hdr[:0]
+		bufPool.Put(bp)
 	}
-	return int64(4 + 1 + 1 + 4 + len(hdr) + 4 + len(msg.Body)), nil
+	if err != nil {
+		return 0, err
+	}
+	return int64(preambleLen + len(hdr) + 4 + len(msg.Body)), nil
 }
 
 // CheckEncodable verifies that a client-built message can be encoded
 // without paying for a full header encode: the only header fields a
-// caller can make unencodable are the float maps, since JSON cannot
-// represent non-finite numbers. Transports that share one socket across
-// callers use it to fail an unencodable request on its own, before the
-// frame reaches the connection's writer (where an encode failure would
-// have to kill the shared socket).
+// caller can make unencodable are the float maps, since the protocol
+// carries only finite numbers (see errNonFinite). Transports that share
+// one socket across callers use it to fail an unencodable request on its
+// own, before the frame reaches the connection's writer (where an encode
+// failure would have to kill the shared socket).
 func CheckEncodable(msg *Message) error {
 	for k, v := range msg.Header.Params {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("wire: encode header: param %q is %v, not representable in JSON", k, v)
+			return errNonFinite("param", k, v)
 		}
 	}
 	for k, v := range msg.Header.Values {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("wire: encode header: value %q is %v, not representable in JSON", k, v)
+			return errNonFinite("value", k, v)
 		}
 	}
 	return nil

@@ -127,21 +127,91 @@ func TestWriteRejectsOversizeBody(t *testing.T) {
 }
 
 func TestFrameSizeMatchesWrite(t *testing.T) {
-	msg := &Message{
+	msgs := append(seedMessages(), &Message{
 		Type:   MsgInvoke,
 		Header: Header{Kernel: "ga", Params: map[string]float64{"n": 32}},
 		Body:   make([]byte, 1000),
+	})
+	for _, msg := range msgs {
+		want, err := FrameSize(msg)
+		if err != nil {
+			t.Fatalf("FrameSize(%v): %v", msg.Type, err)
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, msg); err != nil {
+			t.Fatalf("Write(%v): %v", msg.Type, err)
+		}
+		if int64(buf.Len()) != want {
+			t.Errorf("%v: FrameSize = %d, actual frame = %d", msg.Type, want, buf.Len())
+		}
 	}
-	want, err := FrameSize(msg)
+}
+
+// hotFrames are a typical invocation request and its result, the two
+// frames every warm multiplexed invocation encodes and decodes.
+func hotFrames() (invoke, result *Message) {
+	invoke = &Message{Version: VersionMux, Type: MsgInvoke, Header: Header{
+		Kernel:   "matmul",
+		Tenant:   "team-a",
+		Params:   map[string]float64{"n": 500, "seed": 1},
+		StreamID: 1 << 20,
+	}}
+	result = &Message{Version: VersionMux, Type: MsgResult, Header: Header{
+		Kernel:        "matmul",
+		Values:        map[string]float64{"checksum": 42.5},
+		ColdStart:     true,
+		InvocationID:  "inv-1000000",
+		DurationNanos: 2100000,
+		StreamID:      1 << 20,
+	}, Body: make([]byte, 64)}
+	return invoke, result
+}
+
+func TestAppendDoesNotAllocate(t *testing.T) {
+	invoke, result := hotFrames()
+	buf := make([]byte, 0, 4096)
+	for _, msg := range []*Message{invoke, result} {
+		if n := testing.AllocsPerRun(100, func() {
+			var err error
+			if buf, err = Append(buf[:0], msg); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("Append(%v) into a warm buffer: %v allocs, want 0", msg.Type, n)
+		}
+	}
+}
+
+func TestFrameSizeDoesNotAllocate(t *testing.T) {
+	invoke, result := hotFrames()
+	for _, msg := range []*Message{invoke, result} {
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := FrameSize(msg); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("FrameSize(%v): %v allocs, want 0", msg.Type, n)
+		}
+	}
+}
+
+// TestReadAllocBound pins the decode cost of an invoke frame: the
+// message, one copy of the header's string bytes, and the params map.
+func TestReadAllocBound(t *testing.T) {
+	const maxAllocs = 4
+	invoke, _ := hotFrames()
+	frame, err := Append(nil, invoke)
 	if err != nil {
-		t.Fatalf("FrameSize: %v", err)
+		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := Write(&buf, msg); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	if int64(buf.Len()) != want {
-		t.Errorf("FrameSize = %d, actual frame = %d", want, buf.Len())
+	var rd bytes.Reader
+	if n := testing.AllocsPerRun(100, func() {
+		rd.Reset(frame)
+		if _, err := Read(&rd); err != nil {
+			t.Fatal(err)
+		}
+	}); n > maxAllocs {
+		t.Errorf("Read(invoke): %v allocs, want at most %d", n, maxAllocs)
 	}
 }
 
