@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"kaas"
+	"kaas/internal/core"
 	"kaas/internal/shm"
 )
 
@@ -186,6 +187,9 @@ func runOOBCell(cfg oobConfig, payloadBytes int, oob bool) (*oobCell, error) {
 		return nil, err
 	}
 
+	// The server's data-plane counters are cumulative, so the cell
+	// reports their growth over the measured window only.
+	dp0 := p.Stats().DataPlane
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -196,7 +200,7 @@ func runOOBCell(cfg oobConfig, payloadBytes int, oob bool) (*oobCell, error) {
 	runtime.ReadMemStats(&m1)
 
 	n := float64((cfg.Invocations / cfg.Conc) * cfg.Conc)
-	dp := p.Stats().DataPlane
+	dp := dataPlaneDelta(dp0, p.Stats().DataPlane)
 	mode := "in-band"
 	if oob {
 		mode = "oob"
@@ -213,6 +217,22 @@ func runOOBCell(cfg oobConfig, payloadBytes int, oob bool) (*oobCell, error) {
 		LeaseGrants:     dp.LeaseGrants,
 		LeaseReuses:     dp.LeaseReuses,
 	}, nil
+}
+
+// dataPlaneDelta returns the growth of the cumulative data-plane
+// counters from before to after; gauges (active leases, arena capacity)
+// are left zero.
+func dataPlaneDelta(before, after core.DataPlaneStats) core.DataPlaneStats {
+	return core.DataPlaneStats{
+		OOBInvocations:     after.OOBInvocations - before.OOBInvocations,
+		OOBBytes:           after.OOBBytes - before.OOBBytes,
+		InBandBytes:        after.InBandBytes - before.InBandBytes,
+		LeaseGrants:        after.LeaseGrants - before.LeaseGrants,
+		LeaseReuses:        after.LeaseReuses - before.LeaseReuses,
+		LeaseRevocations:   after.LeaseRevocations - before.LeaseRevocations,
+		BatchDispatches:    after.BatchDispatches - before.BatchDispatches,
+		BatchedInvocations: after.BatchedInvocations - before.BatchedInvocations,
+	}
 }
 
 // runOOBBatchCell measures one batch-window cell at the configured
@@ -235,13 +255,14 @@ func runOOBBatchCell(cfg oobConfig, window time.Duration) (*oobBatchCell, error)
 	if _, err := oobDrive(c, warm, nil); err != nil {
 		return nil, err
 	}
+	dp0 := p.Stats().DataPlane
 	elapsed, err := oobDrive(c, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
 
 	n := (cfg.Invocations / cfg.Conc) * cfg.Conc
-	dp := p.Stats().DataPlane
+	dp := dataPlaneDelta(dp0, p.Stats().DataPlane)
 	cell := &oobBatchCell{
 		WindowMs:           float64(window) / float64(time.Millisecond),
 		Invocations:        n,

@@ -10,6 +10,20 @@
 // All components of the runtime take a Clock so that tests can use a large
 // scale factor for speed, and so the server can run in real time when
 // deployed as an actual service.
+//
+// At high scale factors a scaled clock's timers must fire within tens of
+// microseconds of their wall deadline, or modeled durations stretch by
+// tenths of a second (50 µs of wall time is 0.1 s modeled at scale
+// 2000). The Go runtime's own timers are not that precise on an idle
+// process (it sleeps in the netpoller with millisecond granularity),
+// and spinning toward every deadline would burn the processor the
+// serving path needs. So each scaled clock runs one timer dispatcher
+// that parks on an alarm until a short window before the earliest
+// deadline and spins only through that window. On Linux the alarm is a
+// timerfd read through the netpoller with a read deadline at the same
+// instant: the timerfd wakes an idle process, the runtime timer behind
+// the deadline wakes a busy one. Other platforms park on a runtime
+// timer and spin through a wider window.
 package vclock
 
 import (
@@ -73,7 +87,6 @@ func Scaled(scale float64) Clock {
 	return &scaledClock{
 		scale: scale,
 		epoch: time.Now(),
-		wake:  make(chan struct{}, 1),
 	}
 }
 
@@ -82,14 +95,20 @@ type scaledClock struct {
 	epoch time.Time
 
 	// Pending AfterFunc timers, dispatched by a single goroutine per
-	// clock: one spinner watching the earliest deadline costs far less
-	// than a spinning goroutine per timer, which matters under load —
-	// the scheduling engines re-arm a timer on every job arrival and
+	// clock: one dispatcher watching the earliest deadline costs far
+	// less than a goroutine per timer, which matters under load — the
+	// scheduling engines re-arm a timer on every job arrival and
 	// completion.
 	mu      sync.Mutex
 	timers  timerHeap
-	wake    chan struct{}
 	running bool
+	// alarm is the dispatcher's wait, opened when it first parks and
+	// kept for the clock's lifetime (its file descriptor, if any, is
+	// closed by the os.File finalizer once the clock is unreachable).
+	alarm alarm
+	// parked is the head timer the dispatcher is parked toward, nil
+	// while it is running callbacks or spinning.
+	parked *wheelTimer
 }
 
 var _ Clock = (*scaledClock)(nil)
@@ -99,76 +118,77 @@ func (c *scaledClock) Now() time.Time {
 	return c.epoch.Add(time.Duration(float64(wall) * c.scale))
 }
 
-// spinThreshold is the wall-time window near a deadline within which the
-// scaled clock spins instead of sleeping. time.Sleep routinely overshoots
-// by a millisecond or more (measured up to ~4 ms on loaded single-core
-// hosts); at high scale factors that overshoot would inflate modeled
-// durations by whole seconds, so precision matters more than the brief
-// busy-wait costs.
-const spinThreshold = 2 * time.Millisecond
-
+// Sleep parks on the clock's own timer wheel, so it wakes as precisely
+// as an AfterFunc callback fires. Sleeps no longer than the spin window
+// just spin: parking would cost more than it saves.
 func (c *scaledClock) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	deadline := time.Now().Add(c.toWall(d))
-	sleepUntil(deadline)
+	if w := c.toWall(d); w <= spinThreshold {
+		spinUntil(time.Now().Add(w))
+		return
+	}
+	done := make(chan struct{})
+	c.AfterFunc(d, func() { close(done) })
+	<-done
 }
 
-// sleepUntil sleeps coarsely to near the wall deadline, then spins.
-func sleepUntil(deadline time.Time) {
-	for {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return
-		}
-		if remaining > spinThreshold {
-			time.Sleep(remaining - spinThreshold)
-			continue
-		}
+// spinUntil yields the processor until the wall deadline passes.
+func spinUntil(deadline time.Time) {
+	for time.Now().Before(deadline) {
 		runtime.Gosched()
 	}
 }
 
 // AfterFunc registers the callback on the clock's timer wheel. All of a
-// clock's pending timers share one dispatcher goroutine that sleeps
-// coarsely and spins across the last stretch before the earliest
-// deadline, so callbacks fire within microseconds of their wall
-// deadline at the cost of a single spinner, however many timers are
-// pending. Callbacks run sequentially on the dispatcher goroutine (never
-// on the caller's), so they must not block for long.
+// clock's pending timers share one dispatcher goroutine (see dispatch),
+// which parks on an alarm until spinThreshold before the earliest
+// deadline and spins across that last stretch, so callbacks fire within
+// tens of microseconds of their wall deadline without a goroutine or a
+// spinning processor per timer. Callbacks run sequentially on the dispatcher
+// goroutine (never on the caller's), so they must not block for long.
 func (c *scaledClock) AfterFunc(d time.Duration, f func()) Timer {
 	t := &wheelTimer{
 		c:        c,
 		deadline: time.Now().Add(c.toWall(d)),
 		f:        f,
 	}
+	var poke alarm
 	c.mu.Lock()
 	c.timers.push(t)
-	first := c.timers[0] == t
 	if !c.running {
 		c.running = true
 		go c.dispatch()
-		first = false
+	} else if c.parked != nil && t.deadline.Before(c.parked.deadline) {
+		// A new earliest deadline: wake the dispatcher so it re-arms
+		// for it instead of oversleeping.
+		c.parked = nil
+		poke = c.alarm
 	}
 	c.mu.Unlock()
-	if first {
-		// A new earliest deadline: poke the dispatcher out of its sleep
-		// so it does not oversleep past it.
-		select {
-		case c.wake <- struct{}{}:
-		default:
-		}
+	if poke != nil {
+		poke.poke()
 	}
 	return t
 }
 
 // dispatch runs a clock's due timers until none are pending.
+//
+// Between deadlines it parks in alarm.wait until spinThreshold before
+// the earliest one, then spins with runtime.Gosched through the rest.
+// The spin absorbs the alarm's wake-up latency, which at high scale
+// factors would otherwise inflate modeled durations; keeping it short
+// keeps the dispatcher from taking processor time the serving path
+// needs. The alarm is armed under c.mu before parked is published, so
+// a poke — which a caller sends only after seeing parked — always
+// lands after the arming and cannot be lost.
 func (c *scaledClock) dispatch() {
 	var due []*wheelTimer
 	for {
 		due = due[:0]
 		c.mu.Lock()
+		c.parked = nil
 		now := time.Now()
 		for len(c.timers) > 0 {
 			t := c.timers[0]
@@ -195,23 +215,20 @@ func (c *scaledClock) dispatch() {
 			c.mu.Unlock()
 			return
 		}
-		next := c.timers[0].deadline
-		c.mu.Unlock()
-
-		if remaining := time.Until(next); remaining > spinThreshold {
-			timer := time.NewTimer(remaining - spinThreshold)
-			select {
-			case <-timer.C:
-			case <-c.wake:
-				timer.Stop()
-			}
-		} else {
-			select {
-			case <-c.wake:
-			default:
-				runtime.Gosched()
-			}
+		head := c.timers[0]
+		if head.deadline.Sub(now) <= spinThreshold {
+			c.mu.Unlock()
+			runtime.Gosched()
+			continue
 		}
+		if c.alarm == nil {
+			c.alarm = newAlarm()
+		}
+		a := c.alarm
+		a.arm(head.deadline.Add(-spinThreshold))
+		c.parked = head
+		c.mu.Unlock()
+		a.wait()
 	}
 }
 
@@ -229,6 +246,7 @@ type wheelTimer struct {
 
 func (t *wheelTimer) Stop() bool {
 	c := t.c
+	var poke alarm
 	c.mu.Lock()
 	if t.stopped || t.fired {
 		c.mu.Unlock()
@@ -237,18 +255,61 @@ func (t *wheelTimer) Stop() bool {
 	// Marked only: the dispatcher discards stopped entries when they
 	// surface at the top of the heap.
 	t.stopped = true
-	head := len(c.timers) > 0 && c.timers[0] == t
-	c.mu.Unlock()
-	if head {
-		// The dispatcher is sleeping toward this timer's deadline; wake
-		// it so it re-reads the heap (and can exit if nothing is left)
+	if c.parked == t {
+		// The dispatcher is parked toward this timer's deadline; wake
+		// it so it re-reads the heap (and exits if nothing is left)
 		// instead of holding its goroutine until the stale deadline.
-		select {
-		case c.wake <- struct{}{}:
-		default:
-		}
+		c.parked = nil
+		poke = c.alarm
+	}
+	c.mu.Unlock()
+	if poke != nil {
+		poke.poke()
 	}
 	return true
+}
+
+// alarm is the scaled-clock dispatcher's parked wait. arm and wait are
+// called by the dispatcher only; poke may be called from any goroutine.
+type alarm interface {
+	// arm sets the wall time the next wait returns at. It must be
+	// called before the dispatcher publishes itself as parked.
+	arm(at time.Time)
+	// wait blocks until the armed time or a poke after the arming,
+	// whichever is first. It may return early.
+	wait()
+	// poke makes the current or next wait return now.
+	poke()
+}
+
+// timerAlarm is the portable alarm: a runtime timer raced against a
+// poke channel. The runtime timer can wake late by a millisecond or
+// more on a loaded host, so it is paired with a wider spin window.
+type timerAlarm struct {
+	at   time.Time
+	wake chan struct{}
+}
+
+func newTimerAlarm() *timerAlarm {
+	return &timerAlarm{wake: make(chan struct{}, 1)}
+}
+
+func (a *timerAlarm) arm(at time.Time) { a.at = at }
+
+func (a *timerAlarm) wait() {
+	timer := time.NewTimer(time.Until(a.at))
+	select {
+	case <-timer.C:
+	case <-a.wake:
+		timer.Stop()
+	}
+}
+
+func (a *timerAlarm) poke() {
+	select {
+	case a.wake <- struct{}{}:
+	default:
+	}
 }
 
 // timerHeap is a min-heap of pending timers ordered by wall deadline.

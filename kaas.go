@@ -514,6 +514,9 @@ func New(opts ...Option) (*Platform, error) {
 	if len(cfg.accels) == 0 {
 		cfg.accels = []DeviceProfile{TeslaP100}
 	}
+	if cfg.keepAlive.Idle == 0 {
+		cfg.keepAlive.Idle = cfg.idleTimeout
+	}
 	clock := vclock.Scaled(cfg.timeScale)
 	host, err := accel.NewHost(clock, cfg.hostName, cfg.cpu, cfg.accels...)
 	if err != nil {
@@ -529,7 +532,6 @@ func New(opts ...Option) (*Platform, error) {
 		MaxInFlightPerRunner: cfg.maxInFlight,
 		MaxRunnersPerDevice:  cfg.maxPerDevice,
 		Placement:            cfg.placement,
-		RunnerIdleTimeout:    cfg.idleTimeout,
 		KeepAlive:            cfg.keepAlive,
 		Artifacts:            artifacts,
 		MaxInFlightTotal:     cfg.maxInFlightTotal,
